@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test test-full bench chaos trace-smoke perfdiff-smoke shard-smoke health-smoke load-smoke quality-smoke
+.PHONY: check build vet lint test test-full perfbench-test bench chaos trace-smoke perfdiff-smoke shard-smoke health-smoke load-smoke quality-smoke
 
-check: vet lint test chaos shard-smoke trace-smoke health-smoke load-smoke quality-smoke
+check: vet lint test perfbench-test chaos shard-smoke trace-smoke health-smoke load-smoke quality-smoke
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,12 @@ test:
 # Full suite without the race detector (what CI tier-1 runs).
 test-full:
 	$(GO) test ./...
+
+# The repository benchmark (perfbench/) is its own Go module built against
+# this one through a replace directive, so ./... above does not compile it.
+# Its tests catch API changes that would break the benchmark build.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Chaos conformance: fault injection, cancellation, and recovery under -race.
 # Every detector under a fault schedule must converge to a valid partition or

@@ -122,15 +122,15 @@ func BenchmarkFigValueType(b *testing.B) {
 // BenchmarkFigCoalesced regenerates the appendix figure: open addressing vs
 // coalesced chaining.
 func BenchmarkFigCoalesced(b *testing.B) {
-	for _, coal := range []bool{false, true} {
+	for _, pr := range []hashtable.Probing{hashtable.QuadraticDouble, hashtable.Coalesced} {
 		name := "open-addressing"
-		if coal {
+		if pr == hashtable.Coalesced {
 			name = "coalesced"
 		}
 		b.Run(name, func(b *testing.B) {
 			eachGraph(b, func(b *testing.B, g *graph.CSR) {
 				opt := nulpa.DefaultOptions()
-				opt.Coalesced = coal
+				opt.Probing = pr
 				runNuLPA(b, g, opt)
 			})
 		})

@@ -366,23 +366,24 @@ func FigValueType(cfg Config) []Table {
 // vs coalesced chaining.
 func FigCoalesced(cfg Config) []Table {
 	cfg.defaults()
-	rel := map[bool][]float64{}
-	mods := map[bool][]float64{}
+	def := nulpa.DefaultOptions().Probing
+	rel := map[hashtable.Probing][]float64{}
+	mods := map[hashtable.Probing][]float64{}
 	for _, name := range cfg.Graphs {
 		g := Graph(name, cfg.Scale)
 		var refT time.Duration
-		for _, coal := range []bool{false, true} {
+		for _, pr := range []hashtable.Probing{def, hashtable.Coalesced} {
 			opt := nulpa.DefaultOptions()
-			opt.Coalesced = coal
+			opt.Probing = pr
 			res := runNu(cfg, g, opt)
-			if !coal {
+			if pr == def {
 				refT = res.Duration
 			}
 			if refT > 0 {
-				rel[coal] = append(rel[coal], float64(res.Duration)/float64(refT))
+				rel[pr] = append(rel[pr], float64(res.Duration)/float64(refT))
 			}
-			mods[coal] = append(mods[coal], quality.Modularity(g, res.Labels))
-			cfg.progressf("fig-coalesced %s coal=%v: %v\n", name, coal, res.Duration)
+			mods[pr] = append(mods[pr], quality.Modularity(g, res.Labels))
+			cfg.progressf("fig-coalesced %s probing=%v: %v\n", name, pr, res.Duration)
 		}
 	}
 	tbl := Table{
@@ -391,8 +392,8 @@ func FigCoalesced(cfg Config) []Table {
 		Header: []string{"hashtable", "rel runtime (geomean)", "mean modularity"},
 		Notes:  []string{"Paper: coalesced chaining did not improve performance."},
 	}
-	tbl.Rows = append(tbl.Rows, []string{"default (open addressing)", f3(geomean(rel[false])), f4(mean(mods[false]))})
-	tbl.Rows = append(tbl.Rows, []string{"coalesced chaining", f3(geomean(rel[true])), f4(mean(mods[true]))})
+	tbl.Rows = append(tbl.Rows, []string{"default (open addressing)", f3(geomean(rel[def])), f4(mean(mods[def]))})
+	tbl.Rows = append(tbl.Rows, []string{"coalesced chaining", f3(geomean(rel[hashtable.Coalesced])), f4(mean(mods[hashtable.Coalesced]))})
 	return []Table{tbl}
 }
 

@@ -18,10 +18,23 @@ func (d fakeDetector) Detect(g *graph.CSR, opt Options) (*Result, error) {
 	return NewResult(make([]uint32, g.NumVertices())), nil
 }
 
+// registerForTest registers d until the test ends. The global registry
+// outlives a single test, so without the cleanup a repeated run
+// (go test -count=N) would register d again and panic on the duplicate.
+func registerForTest(t *testing.T, d Detector) {
+	t.Helper()
+	Register(d)
+	t.Cleanup(func() {
+		regMu.Lock()
+		defer regMu.Unlock()
+		delete(registry, d.Name())
+	})
+}
+
 func TestRegistry(t *testing.T) {
 	// The global registry persists across tests; use unique names.
-	Register(fakeDetector{"test-zzz"})
-	Register(fakeDetector{"test-aaa"})
+	registerForTest(t, fakeDetector{"test-zzz"})
+	registerForTest(t, fakeDetector{"test-aaa"})
 
 	if _, ok := Get("test-aaa"); !ok {
 		t.Fatal("registered detector not found")
@@ -62,7 +75,7 @@ func TestRegisterPanics(t *testing.T) {
 		f()
 	}
 	mustPanic("empty name", func() { Register(fakeDetector{""}) })
-	Register(fakeDetector{"test-dup"})
+	registerForTest(t, fakeDetector{"test-dup"})
 	mustPanic("duplicate", func() { Register(fakeDetector{"test-dup"}) })
 }
 

@@ -35,7 +35,7 @@ func TestLoopFeedsMetrics(t *testing.T) {
 }
 
 func TestRegisterInstrumentsDetector(t *testing.T) {
-	Register(fakeDetector{"test-metrics"})
+	registerForTest(t, fakeDetector{"test-metrics"})
 	d, ok := Get("test-metrics")
 	if !ok {
 		t.Fatal("detector not registered")

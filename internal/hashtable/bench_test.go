@@ -25,8 +25,8 @@ func BenchmarkAccumulateProbing(b *testing.B) {
 	keys := benchKeys(deg)
 	for _, pr := range allProbings {
 		b.Run(pr.String(), func(b *testing.B) {
-			a := NewArena(Float32, 2*deg)
-			tb := a.TableFor(0, deg, pr)
+			a := NewArena(Float32, pr, 2*deg)
+			tb := a.TableFor(0, deg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tb.Clear(0, 1)
@@ -43,8 +43,8 @@ func BenchmarkAccumulateShared(b *testing.B) {
 	keys := benchKeys(deg)
 	for _, shared := range []bool{false, true} {
 		b.Run(fmt.Sprintf("shared=%v", shared), func(b *testing.B) {
-			a := NewArena(Float32, 2*deg)
-			tb := a.TableFor(0, deg, QuadraticDouble)
+			a := NewArena(Float32, QuadraticDouble, 2*deg)
+			tb := a.TableFor(0, deg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tb.Clear(0, 1)
@@ -61,8 +61,8 @@ func BenchmarkAccumulateValueKind(b *testing.B) {
 	keys := benchKeys(deg)
 	for _, kind := range allKinds {
 		b.Run(kind.String(), func(b *testing.B) {
-			a := NewArena(kind, 2*deg)
-			tb := a.TableFor(0, deg, QuadraticDouble)
+			a := NewArena(kind, QuadraticDouble, 2*deg)
+			tb := a.TableFor(0, deg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tb.Clear(0, 1)
@@ -76,8 +76,8 @@ func BenchmarkAccumulateValueKind(b *testing.B) {
 
 func BenchmarkMaxKey(b *testing.B) {
 	const deg = 256
-	a := NewArena(Float32, 2*deg)
-	tb := a.TableFor(0, deg, QuadraticDouble)
+	a := NewArena(Float32, QuadraticDouble, 2*deg)
+	tb := a.TableFor(0, deg)
 	for _, k := range benchKeys(deg) {
 		tb.Accumulate(k, 1, false)
 	}
@@ -92,7 +92,7 @@ func BenchmarkMaxKey(b *testing.B) {
 func BenchmarkCoalescedAccumulate(b *testing.B) {
 	const deg = 256
 	keys := benchKeys(deg)
-	a := NewCoalescedArena(Float32, 2*deg)
+	a := NewArena(Float32, Coalesced, 2*deg)
 	tb := a.TableFor(0, deg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,112 +1,22 @@
 package hashtable
 
-import (
-	"math"
-
-	"nulpa/internal/simt"
-)
+import "nulpa/internal/simt"
 
 // Coalesced chaining (the appendix figure's comparison point): a hybrid of
 // separate chaining and open addressing. Every slot belongs to the flat
-// arena, but occupied slots form chains through a third array H_n of "next"
-// indices, so a colliding key walks the chain of its home bucket instead of
-// re-probing, and claims any free slot (found by linear scan) when the chain
-// ends. The paper found this did not outperform open addressing with
-// quadratic-double probing.
+// arena, but occupied slots form chains through a third buffer (Arena.Next)
+// of window-relative "next" slots, so a colliding key walks the chain of its
+// home bucket instead of re-probing, and claims any free slot (found by
+// linear scan) when the chain ends. The paper found this did not outperform
+// open addressing with quadratic-double probing.
 
 // noNext marks the end of a chain.
 const noNext = ^uint32(0)
 
-// CoalescedArena backs per-vertex coalesced-chaining tables: keys, values
-// and next-pointers, each 2·|E| slots.
-type CoalescedArena struct {
-	Kind  ValueKind
-	Keys  []uint32
-	Next  []uint32
-	V32   []uint32
-	V64   []uint64
-	Stats *Stats
-}
-
-// NewCoalescedArena allocates storage for `slots` slots.
-func NewCoalescedArena(kind ValueKind, slots int64) *CoalescedArena {
-	a := &CoalescedArena{Kind: kind}
-	a.Keys = make([]uint32, slots)
-	a.Next = make([]uint32, slots)
-	for i := range a.Keys {
-		a.Keys[i] = EmptyKey
-		a.Next[i] = noNext
-	}
-	if kind == Float32 {
-		a.V32 = make([]uint32, slots)
-	} else {
-		a.V64 = make([]uint64, slots)
-	}
-	return a
-}
-
-// Bytes returns the arena's simulated memory footprint; the Next array makes
-// it strictly larger than the open-addressing arena.
-func (a *CoalescedArena) Bytes() int64 {
-	b := int64(len(a.Keys))*4 + int64(len(a.Next))*4
-	if a.Kind == Float32 {
-		b += int64(len(a.V32)) * 4
-	} else {
-		b += int64(len(a.V64)) * 8
-	}
-	return b
-}
-
-// CoalescedTable is one vertex's coalesced-chaining table.
-type CoalescedTable struct {
-	a    *CoalescedArena
-	base int64
-	p1   uint32
-}
-
-// TableFor returns the coalesced table of a vertex with the given CSR offset
-// and degree; same window geometry as the open-addressing Table.
-func (a *CoalescedArena) TableFor(offset int64, degree int) CoalescedTable {
-	return CoalescedTable{a: a, base: 2 * offset, p1: CapacityFor(degree)}
-}
-
-// Capacity returns the number of usable slots.
-func (t CoalescedTable) Capacity() int { return int(t.p1) }
-
-// Clear empties slots [lane, capacity) in steps of stride.
-func (t CoalescedTable) Clear(lane, stride int) {
-	for s := lane; s < int(t.p1); s += stride {
-		t.a.Keys[t.base+int64(s)] = EmptyKey
-		t.a.Next[t.base+int64(s)] = noNext
-		if t.a.Kind == Float32 {
-			t.a.V32[t.base+int64(s)] = 0
-		} else {
-			t.a.V64[t.base+int64(s)] = 0
-		}
-	}
-}
-
-// Accumulate adds weight v to key k, inserting it at the tail of its home
-// bucket's chain if absent. shared selects the atomic path.
-func (t CoalescedTable) Accumulate(k uint32, v float64, shared bool) bool {
-	if t.p1 == 0 {
-		if t.a.Stats != nil {
-			t.a.Stats.Failures.Add(1)
-		}
-		return false
-	}
-	if t.a.Stats != nil {
-		t.a.Stats.Accumulates.Add(1)
-	}
-	s := int64(k % t.p1)
-	if shared {
-		return t.accumulateShared(s, k, v)
-	}
-	return t.accumulatePlain(s, k, v)
-}
-
-func (t CoalescedTable) accumulatePlain(s int64, k uint32, v float64) bool {
+// chainPlain is Accumulate's plain (single-writer) coalesced-chaining path.
+func (t Table) chainPlain(k uint32, v float64) bool {
 	st := t.a.Stats
+	s := int64(k % t.p1)
 	for hops := 0; hops <= int(t.p1); hops++ {
 		idx := t.base + s
 		if st != nil {
@@ -133,23 +43,17 @@ func (t CoalescedTable) accumulatePlain(s int64, k uint32, v float64) bool {
 		// Chain ended: claim a free slot by linear scan and link it.
 		free, ok := t.findFreePlain(s)
 		if !ok {
-			if st != nil {
-				st.Failures.Add(1)
-			}
-			return false
+			return t.fail()
 		}
 		t.a.Keys[t.base+free] = k
 		t.addValue(t.base+free, v)
 		t.a.Next[idx] = uint32(free)
 		return true
 	}
-	if st != nil {
-		st.Failures.Add(1)
-	}
-	return false
+	return t.fail()
 }
 
-func (t CoalescedTable) findFreePlain(from int64) (int64, bool) {
+func (t Table) findFreePlain(from int64) (int64, bool) {
 	for off := int64(1); off <= int64(t.p1); off++ {
 		s := from + off
 		if s >= int64(t.p1) {
@@ -162,8 +66,11 @@ func (t CoalescedTable) findFreePlain(from int64) (int64, bool) {
 	return 0, false
 }
 
-func (t CoalescedTable) accumulateShared(s int64, k uint32, v float64) bool {
+// chainShared is Accumulate's shared (atomic, many-writer) coalesced-chaining
+// path.
+func (t Table) chainShared(k uint32, v float64) bool {
 	st := t.a.Stats
+	s := int64(k % t.p1)
 	// Bounded by slots² in the worst contention case; in practice a few hops.
 	for hops := 0; hops <= 2*int(t.p1)+4; hops++ {
 		idx := t.base + s
@@ -186,43 +93,30 @@ func (t CoalescedTable) accumulateShared(s int64, k uint32, v float64) bool {
 		}
 		free, ok := t.claimFreeShared(s, k)
 		if !ok {
-			if st != nil {
-				st.Failures.Add(1)
-			}
-			return false
+			return t.fail()
 		}
-		// Link the claimed slot; on race, someone else extended the chain
-		// first — release our claim is impossible (slot holds k), so instead
-		// walk to the raced next and keep going; our claimed slot already
-		// holds k and will be found by the chain walk once linked. Simplest
-		// correct policy: try to link, and if the link CAS fails, continue
-		// the walk from the winner's next; our orphan slot keeps key k and
-		// gets the value via the eventual chain... to avoid orphan slots we
-		// retry linking at the chain's new tail.
+		// Link the claimed slot at the chain's tail. If another writer
+		// extended the chain first, advance to its new tail and retry; if
+		// that writer inserted k itself, merge there and release our claim.
 		for {
 			oldNext := simt.AtomicCASUint32(t.a.Next, int(idx), noNext, uint32(free))
 			if oldNext == noNext {
 				t.atomicAddValue(t.base+free, v)
 				return true
 			}
-			// Chain grew under us: advance to its tail.
 			idx = t.base + int64(oldNext)
 			if k2 := simt.AtomicLoadUint32(t.a.Keys, int(idx)); k2 == k {
-				// The winner inserted our key; merge there and release ours.
 				t.atomicAddValue(idx, v)
 				simt.AtomicStoreUint32(t.a.Keys, int(t.base+free), EmptyKey)
 				return true
 			}
 		}
 	}
-	if st != nil {
-		st.Failures.Add(1)
-	}
-	return false
+	return t.fail()
 }
 
 // claimFreeShared linearly scans for an empty slot and claims it with k.
-func (t CoalescedTable) claimFreeShared(from int64, k uint32) (int64, bool) {
+func (t Table) claimFreeShared(from int64, k uint32) (int64, bool) {
 	for off := int64(1); off <= int64(t.p1); off++ {
 		s := from + off
 		if s >= int64(t.p1) {
@@ -233,65 +127,4 @@ func (t CoalescedTable) claimFreeShared(from int64, k uint32) (int64, bool) {
 		}
 	}
 	return 0, false
-}
-
-func (t CoalescedTable) addValue(idx int64, v float64) {
-	if t.a.Kind == Float32 {
-		t.a.V32[idx] = math.Float32bits(math.Float32frombits(t.a.V32[idx]) + float32(v))
-	} else {
-		t.a.V64[idx] = math.Float64bits(math.Float64frombits(t.a.V64[idx]) + v)
-	}
-}
-
-func (t CoalescedTable) atomicAddValue(idx int64, v float64) {
-	if t.a.Kind == Float32 {
-		simt.AtomicAddFloat32Bits(t.a.V32, int(idx), float32(v))
-	} else {
-		simt.AtomicAddFloat64Bits(t.a.V64, int(idx), v)
-	}
-}
-
-// Value returns the accumulated weight in slot s.
-func (t CoalescedTable) Value(s int) float64 {
-	idx := t.base + int64(s)
-	if t.a.Kind == Float32 {
-		return float64(math.Float32frombits(t.a.V32[idx]))
-	}
-	return math.Float64frombits(t.a.V64[idx])
-}
-
-// Key returns the key in slot s, or EmptyKey.
-func (t CoalescedTable) Key(s int) uint32 { return t.a.Keys[t.base+int64(s)] }
-
-// MaxKeyStrided is MaxKey restricted to slots lane, lane+stride, ....
-func (t CoalescedTable) MaxKeyStrided(lane, stride int) (key uint32, weight float64, ok bool) {
-	key = EmptyKey
-	for s := lane; s < int(t.p1); s += stride {
-		k := t.Key(s)
-		if k == EmptyKey {
-			continue
-		}
-		w := t.Value(s)
-		if !ok || w > weight {
-			key, weight, ok = k, w, true
-		}
-	}
-	return key, weight, ok
-}
-
-// MaxKey returns the first key with the greatest accumulated weight in slot
-// order (the "strict" LPA selection, matching Table.MaxKey).
-func (t CoalescedTable) MaxKey() (key uint32, weight float64, ok bool) {
-	key = EmptyKey
-	for s := 0; s < int(t.p1); s++ {
-		k := t.Key(s)
-		if k == EmptyKey {
-			continue
-		}
-		w := t.Value(s)
-		if !ok || w > weight {
-			key, weight, ok = k, w, true
-		}
-	}
-	return key, weight, ok
 }

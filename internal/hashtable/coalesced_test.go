@@ -10,7 +10,7 @@ import (
 
 func TestCoalescedSimple(t *testing.T) {
 	for _, kind := range allKinds {
-		a := NewCoalescedArena(kind, 64)
+		a := NewArena(kind, Coalesced, 64)
 		tb := a.TableFor(0, 8)
 		tb.Clear(0, 1)
 		tb.Accumulate(3, 1, false)
@@ -24,7 +24,7 @@ func TestCoalescedSimple(t *testing.T) {
 }
 
 func TestCoalescedZeroCapacity(t *testing.T) {
-	a := NewCoalescedArena(Float32, 8)
+	a := NewArena(Float32, Coalesced, 8)
 	a.Stats = &Stats{}
 	tb := a.TableFor(0, 0)
 	if tb.Accumulate(1, 1, false) {
@@ -36,7 +36,7 @@ func TestCoalescedZeroCapacity(t *testing.T) {
 }
 
 func TestCoalescedChainCollisions(t *testing.T) {
-	a := NewCoalescedArena(Float64, 64)
+	a := NewArena(Float64, Coalesced, 64)
 	a.Stats = &Stats{}
 	tb := a.TableFor(0, 8) // capacity 15
 	tb.Clear(0, 1)
@@ -68,7 +68,7 @@ func TestCoalescedMatchesMapOracle(t *testing.T) {
 		f := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
 			deg := 1 + rng.Intn(40)
-			a := NewCoalescedArena(Float64, 2*64)
+			a := NewArena(Float64, Coalesced, 2*64)
 			tb := a.TableFor(0, 64)
 			tb.Clear(0, 1)
 			oracle := map[uint32]float64{}
@@ -100,7 +100,7 @@ func TestCoalescedMatchesMapOracle(t *testing.T) {
 // stronger than the engine exercises it (lanes run one at a time per block),
 // but the shared path must still be linearizable.
 func TestCoalescedSharedConcurrent(t *testing.T) {
-	a := NewCoalescedArena(Float64, 2*256)
+	a := NewArena(Float64, Coalesced, 2*256)
 	tb := a.TableFor(0, 256)
 	tb.Clear(0, 1)
 	var wg sync.WaitGroup
@@ -141,8 +141,8 @@ func TestCoalescedSharedConcurrent(t *testing.T) {
 // table.
 func TestOpenAddressingSharedConcurrent(t *testing.T) {
 	for _, pr := range allProbings {
-		a := NewArena(Float64, 2*256)
-		tb := a.TableFor(0, 256, pr)
+		a := NewArena(Float64, pr, 2*256)
+		tb := a.TableFor(0, 256)
 		tb.Clear(0, 1)
 		var wg sync.WaitGroup
 		workers := 8
@@ -180,18 +180,18 @@ func TestOpenAddressingSharedConcurrent(t *testing.T) {
 }
 
 func TestCoalescedArenaBytes(t *testing.T) {
-	a := NewCoalescedArena(Float32, 100)
+	a := NewArena(Float32, Coalesced, 100)
 	if a.Bytes() != 1200 { // keys + next + v32
 		t.Errorf("bytes = %d, want 1200", a.Bytes())
 	}
-	plain := NewArena(Float32, 100)
+	plain := NewArena(Float32, QuadraticDouble, 100)
 	if a.Bytes() <= plain.Bytes() {
 		t.Error("coalesced arena should cost more memory than open addressing")
 	}
 }
 
 func TestCoalescedClear(t *testing.T) {
-	a := NewCoalescedArena(Float32, 64)
+	a := NewArena(Float32, Coalesced, 64)
 	tb := a.TableFor(0, 8)
 	for i := 0; i < 10; i++ {
 		tb.Accumulate(uint32(15*i), 1, false) // force chains
@@ -210,7 +210,7 @@ func TestCoalescedClear(t *testing.T) {
 }
 
 func TestCoalescedMaxKeyStrided(t *testing.T) {
-	a := NewCoalescedArena(Float32, 64)
+	a := NewArena(Float32, Coalesced, 64)
 	tb := a.TableFor(0, 8)
 	tb.Clear(0, 1)
 	tb.Accumulate(3, 4, false)
@@ -233,7 +233,7 @@ func TestCoalescedMaxKeyStrided(t *testing.T) {
 // claim-free paths: concurrent writers inserting distinct keys that all
 // share one home bucket.
 func TestCoalescedSharedCollidingChains(t *testing.T) {
-	a := NewCoalescedArena(Float64, 2*64)
+	a := NewArena(Float64, Coalesced, 2*64)
 	tb := a.TableFor(0, 64) // capacity 127
 	tb.Clear(0, 1)
 	var wg sync.WaitGroup

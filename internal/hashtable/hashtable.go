@@ -12,6 +12,9 @@
 // Collisions are resolved by open addressing with four strategies: linear
 // probing, quadratic probing (step doubling), double hashing (fixed step
 // k mod p2), and the paper's hybrid quadratic-double (δi ← 2·δi + k mod p2).
+// A fifth scheme, coalesced chaining (coalesced.go), is the appendix
+// figure's comparison point; it shares the window geometry and adds a third
+// buffer of chain links.
 // The secondary modulus p2 is the next Mersenne number 2^(k+1)−1: the paper
 // writes p2 = nextPow2(p1)−1, which evaluates back to p1 for Mersenne p1, so
 // we take the intended "next" one — it is strictly larger than p1 and always
@@ -51,6 +54,9 @@ const (
 	Double
 	// QuadraticDouble is the paper's hybrid: δi ← 2·δi + (k mod p2).
 	QuadraticDouble
+	// Coalesced is coalesced chaining (appendix figure): colliding keys
+	// follow a chain of next-slot links instead of re-probing.
+	Coalesced
 )
 
 // String names the probing strategy as in the paper's figures.
@@ -64,6 +70,8 @@ func (p Probing) String() string {
 		return "double"
 	case QuadraticDouble:
 		return "quadratic-double"
+	case Coalesced:
+		return "coalesced"
 	default:
 		return fmt.Sprintf("probing(%d)", int(p))
 	}
@@ -148,30 +156,39 @@ func (a StatsSnapshot) Sub(b StatsSnapshot) StatsSnapshot {
 // Arena is the backing storage for every per-vertex table: the bufK / bufV
 // buffers of Algorithm 1, each sized 2·|E| slots.
 type Arena struct {
-	Kind ValueKind
-	Keys []uint32
-	V32  []uint32 // float32 bit patterns when Kind == Float32
-	V64  []uint64 // float64 bit patterns when Kind == Float64
+	Kind    ValueKind
+	Probing Probing // collision resolution of every table in the arena
+	Keys    []uint32
+	V32     []uint32 // float32 bit patterns when Kind == Float32
+	V64     []uint64 // float64 bit patterns when Kind == Float64
+	Next    []uint32 // chain links when Probing == Coalesced, else nil
 
 	// MaxRetries bounds probing per accumulate; 0 selects
-	// DefaultMaxRetries.
+	// DefaultMaxRetries. Coalesced chaining does not probe and ignores it.
 	MaxRetries int
 	// LinearFallback, when true (the default from NewArena), retries a
 	// full-circle linear probe after MaxRetries misses, which always
 	// succeeds because capacity ≥ degree. Disable to surface Algorithm 2's
-	// "failed" status.
+	// "failed" status. Coalesced chaining ignores it.
 	LinearFallback bool
 	// Stats, when non-nil, receives probe accounting.
 	Stats *Stats
 }
 
 // NewArena allocates backing storage for `slots` hashtable slots (2·|E| for
-// a full graph) with the given value width. Keys start empty and values 0.
-func NewArena(kind ValueKind, slots int64) *Arena {
-	a := &Arena{Kind: kind, MaxRetries: DefaultMaxRetries, LinearFallback: true}
+// a full graph) with the given value width and collision resolution. Keys
+// start empty and values 0.
+func NewArena(kind ValueKind, probing Probing, slots int64) *Arena {
+	a := &Arena{Kind: kind, Probing: probing, MaxRetries: DefaultMaxRetries, LinearFallback: true}
 	a.Keys = make([]uint32, slots)
 	for i := range a.Keys {
 		a.Keys[i] = EmptyKey
+	}
+	if probing == Coalesced {
+		a.Next = make([]uint32, slots)
+		for i := range a.Next {
+			a.Next[i] = noNext
+		}
 	}
 	if kind == Float32 {
 		a.V32 = make([]uint32, slots)
@@ -182,9 +199,10 @@ func NewArena(kind ValueKind, slots int64) *Arena {
 }
 
 // Bytes returns the simulated device-memory footprint of the arena —
-// the quantity the paper's Figure 5 reduces by choosing float32.
+// the quantity the paper's Figure 5 reduces by choosing float32. Coalesced
+// chaining's link buffer makes its arena strictly larger.
 func (a *Arena) Bytes() int64 {
-	b := int64(len(a.Keys)) * 4
+	b := int64(len(a.Keys))*4 + int64(len(a.Next))*4
 	if a.Kind == Float32 {
 		b += int64(len(a.V32)) * 4
 	} else {
@@ -218,12 +236,12 @@ func CapacityFor(degree int) uint32 {
 }
 
 // TableFor returns the table of a vertex whose CSR offset is offset and
-// whose degree is degree, using the given probing strategy. The window
-// occupies slots [2·offset, 2·offset+p1).
-func (a *Arena) TableFor(offset int64, degree int, probing Probing) Table {
+// whose degree is degree, using the arena's collision resolution. The
+// window occupies slots [2·offset, 2·offset+p1).
+func (a *Arena) TableFor(offset int64, degree int) Table {
 	p1 := CapacityFor(degree)
 	p2 := 2*(p1+1) - 1
-	return Table{a: a, base: 2 * offset, p1: p1, p2: p2, probing: probing}
+	return Table{a: a, base: 2 * offset, p1: p1, p2: p2, probing: a.Probing}
 }
 
 // Capacity returns p1, the number of usable slots.
@@ -241,6 +259,11 @@ func (t Table) Clear(lane, stride int) {
 			t.a.V32[t.base+int64(s)] = 0
 		} else {
 			t.a.V64[t.base+int64(s)] = 0
+		}
+	}
+	if t.a.Next != nil {
+		for s := lane; s < int(t.p1); s += stride {
+			t.a.Next[t.base+int64(s)] = noNext
 		}
 	}
 }
@@ -280,21 +303,23 @@ func (t Table) initialStep(k uint32) uint64 {
 // Algorithm 2. shared selects the atomic path (block-per-vertex kernels,
 // where many lanes update one table) versus the plain path (thread-per-
 // vertex kernels). It reports whether a slot was found; with the default
-// linear fallback enabled it can only return false for a zero-capacity
-// table.
+// linear fallback enabled (and always under coalesced chaining) it can only
+// return false for a zero-capacity table.
 func (t Table) Accumulate(k uint32, v float64, shared bool) bool {
 	if t.p1 == 0 {
-		if t.a.Stats != nil {
-			t.a.Stats.Failures.Add(1)
-			mFailures.Inc()
-		}
-		return false
+		return t.fail()
 	}
 	st := t.a.Stats
-	var probes int64 // per-call probe length, fed to the metrics histogram
 	if st != nil {
 		st.Accumulates.Add(1)
 	}
+	if t.probing == Coalesced {
+		if shared {
+			return t.chainShared(k, v)
+		}
+		return t.chainPlain(k, v)
+	}
+	var probes int64 // per-call probe length, fed to the metrics histogram
 	maxRetries := t.a.MaxRetries
 	if maxRetries <= 0 {
 		maxRetries = DefaultMaxRetries
@@ -320,11 +345,7 @@ func (t Table) Accumulate(k uint32, v float64, shared bool) bool {
 		di = t.step(di, k)
 	}
 	if !t.a.LinearFallback {
-		if st != nil {
-			st.Failures.Add(1)
-			mFailures.Inc()
-		}
-		return false
+		return t.fail()
 	}
 	if st != nil {
 		st.Fallbacks.Add(1)
@@ -349,8 +370,13 @@ func (t Table) Accumulate(k uint32, v float64, shared bool) bool {
 			return true
 		}
 	}
-	if st != nil {
-		st.Failures.Add(1)
+	return t.fail()
+}
+
+// fail counts an accumulate that found no slot and reports false.
+func (t Table) fail() bool {
+	if t.a.Stats != nil {
+		t.a.Stats.Failures.Add(1)
 		mFailures.Inc()
 	}
 	return false
@@ -411,22 +437,18 @@ func (t Table) Value(s int) float64 {
 func (t Table) Key(s int) uint32 { return t.a.Keys[t.base+int64(s)] }
 
 // MaxKey scans the table and returns the key with the greatest accumulated
-// weight and that weight — the hashtableMaxKey of Algorithm 1. Ties keep the
-// lowest slot scanned first (the "strict" LPA variant: first label with the
-// highest weight). ok is false for an empty table.
+// weight and that weight — the hashtableMaxKey of Algorithm 1. ok is false
+// (and key EmptyKey) for an empty table.
+//
+// Ties keep the lowest slot scanned first: the paper's "strict" selection,
+// the first label with the highest weight in slot order. Slot order is
+// label-hash order, which differs per vertex — this pseudo-random tie-break
+// is load-bearing: a globally consistent rule (e.g. always the smallest
+// label, see MaxKeyPreferLow) lets one label cascade across community
+// boundaries within a single asynchronous sweep and collapse distinct
+// communities.
 func (t Table) MaxKey() (key uint32, weight float64, ok bool) {
-	key = EmptyKey
-	for s := 0; s < int(t.p1); s++ {
-		k := t.Key(s)
-		if k == EmptyKey {
-			continue
-		}
-		w := t.Value(s)
-		if !ok || w > weight {
-			key, weight, ok = k, w, true
-		}
-	}
-	return key, weight, ok
+	return t.MaxKeyStrided(0, 1)
 }
 
 // MaxKeyStrided is MaxKey restricted to slots lane, lane+stride, ... —

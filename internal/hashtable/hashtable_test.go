@@ -8,6 +8,8 @@ import (
 	"testing/quick"
 )
 
+// allProbings lists the open-addressing schemes; coalesced_test.go covers
+// Coalesced.
 var allProbings = []Probing{Linear, Quadratic, Double, QuadraticDouble}
 var allKinds = []ValueKind{Float32, Float64}
 
@@ -35,9 +37,9 @@ func TestCapacityFitsWindowAndDegree(t *testing.T) {
 }
 
 func TestSecondaryModulusCoprime(t *testing.T) {
-	a := NewArena(Float32, 1024)
+	a := NewArena(Float32, QuadraticDouble, 1024)
 	for d := 1; d < 300; d++ {
-		tb := a.TableFor(0, d, QuadraticDouble)
+		tb := a.TableFor(0, d)
 		p1, p2 := uint32(tb.Capacity()), tb.SecondaryModulus()
 		if p2 <= p1 {
 			t.Fatalf("degree %d: p2=%d <= p1=%d", d, p2, p1)
@@ -58,7 +60,8 @@ func gcd(a, b uint32) uint32 {
 func TestProbingString(t *testing.T) {
 	names := map[Probing]string{
 		Linear: "linear", Quadratic: "quadratic", Double: "double",
-		QuadraticDouble: "quadratic-double", Probing(99): "probing(99)",
+		QuadraticDouble: "quadratic-double", Coalesced: "coalesced",
+		Probing(99): "probing(99)",
 	}
 	for p, want := range names {
 		if p.String() != want {
@@ -73,8 +76,8 @@ func TestProbingString(t *testing.T) {
 func TestAccumulateAndMaxSimple(t *testing.T) {
 	for _, kind := range allKinds {
 		for _, pr := range allProbings {
-			a := NewArena(kind, 64)
-			tb := a.TableFor(0, 8, pr) // capacity 15
+			a := NewArena(kind, pr, 64)
+			tb := a.TableFor(0, 8) // capacity 15
 			tb.Clear(0, 1)
 			tb.Accumulate(3, 1, false)
 			tb.Accumulate(5, 2, false)
@@ -88,8 +91,8 @@ func TestAccumulateAndMaxSimple(t *testing.T) {
 }
 
 func TestMaxKeyEmpty(t *testing.T) {
-	a := NewArena(Float32, 64)
-	tb := a.TableFor(0, 8, QuadraticDouble)
+	a := NewArena(Float32, QuadraticDouble, 64)
+	tb := a.TableFor(0, 8)
 	if _, _, ok := tb.MaxKey(); ok {
 		t.Error("MaxKey found a key in an empty table")
 	}
@@ -99,8 +102,8 @@ func TestMaxKeyEmpty(t *testing.T) {
 }
 
 func TestZeroCapacityTable(t *testing.T) {
-	a := NewArena(Float32, 8)
-	tb := a.TableFor(0, 0, QuadraticDouble)
+	a := NewArena(Float32, QuadraticDouble, 8)
+	tb := a.TableFor(0, 0)
 	if tb.Capacity() != 0 {
 		t.Fatalf("capacity = %d", tb.Capacity())
 	}
@@ -110,8 +113,8 @@ func TestZeroCapacityTable(t *testing.T) {
 }
 
 func TestMaxKeyTieBreaks(t *testing.T) {
-	a := NewArena(Float64, 64)
-	tb := a.TableFor(0, 8, QuadraticDouble)
+	a := NewArena(Float64, QuadraticDouble, 64)
+	tb := a.TableFor(0, 8)
 	tb.Clear(0, 1)
 	tb.Accumulate(9, 2, false)
 	tb.Accumulate(4, 2, false)
@@ -122,8 +125,8 @@ func TestMaxKeyTieBreaks(t *testing.T) {
 }
 
 func TestClearStrided(t *testing.T) {
-	a := NewArena(Float32, 64)
-	tb := a.TableFor(0, 8, Linear)
+	a := NewArena(Float32, Linear, 64)
+	tb := a.TableFor(0, 8)
 	tb.Accumulate(1, 5, false)
 	tb.Accumulate(2, 5, false)
 	// Strided clear as four lanes would do it.
@@ -147,8 +150,8 @@ func TestAccumulateMatchesMapOracle(t *testing.T) {
 				f := func(seed int64) bool {
 					rng := rand.New(rand.NewSource(seed))
 					deg := 1 + rng.Intn(40)
-					a := NewArena(kind, int64(2*64))
-					tb := a.TableFor(0, 64, pr) // capacity 127 > any deg
+					a := NewArena(kind, pr, int64(2*64))
+					tb := a.TableFor(0, 64) // capacity 127 > any deg
 					tb.Clear(0, 1)
 					oracle := map[uint32]float64{}
 					for i := 0; i < deg; i++ {
@@ -202,8 +205,8 @@ func TestAccumulateMatchesMapOracle(t *testing.T) {
 func TestFullLoad(t *testing.T) {
 	for _, pr := range allProbings {
 		for _, deg := range []int{1, 2, 3, 7, 15, 31} { // Mersenne degrees: 100% load
-			a := NewArena(Float32, int64(2*deg)+2)
-			tb := a.TableFor(0, deg, pr)
+			a := NewArena(Float32, pr, int64(2*deg)+2)
+			tb := a.TableFor(0, deg)
 			tb.Clear(0, 1)
 			for k := 0; k < deg; k++ {
 				if !tb.Accumulate(uint32(k*1009+7), 1, false) {
@@ -231,11 +234,11 @@ func TestFailureWithoutFallback(t *testing.T) {
 	// Quadratic probing on a Mersenne-capacity table visits few distinct
 	// slots; with the fallback disabled and a tiny retry budget, Algorithm
 	// 2's "failed" status must surface.
-	a := NewArena(Float32, 16)
+	a := NewArena(Float32, Quadratic, 16)
 	a.LinearFallback = false
 	a.MaxRetries = 2
 	a.Stats = &Stats{}
-	tb := a.TableFor(0, 3, Quadratic) // capacity 3
+	tb := a.TableFor(0, 3) // capacity 3
 	tb.Clear(0, 1)
 	failed := false
 	for k := uint32(0); k < 3; k++ {
@@ -252,9 +255,9 @@ func TestFailureWithoutFallback(t *testing.T) {
 }
 
 func TestStatsCounting(t *testing.T) {
-	a := NewArena(Float32, 32)
+	a := NewArena(Float32, Linear, 32)
 	a.Stats = &Stats{}
-	tb := a.TableFor(0, 8, Linear)
+	tb := a.TableFor(0, 8)
 	tb.Clear(0, 1)
 	tb.Accumulate(0, 1, false)
 	tb.Accumulate(15, 1, false) // 15 mod 15 = 0: collides with key 0
@@ -274,8 +277,8 @@ func TestStatsCounting(t *testing.T) {
 }
 
 func TestArenaBytes(t *testing.T) {
-	a32 := NewArena(Float32, 100)
-	a64 := NewArena(Float64, 100)
+	a32 := NewArena(Float32, QuadraticDouble, 100)
+	a64 := NewArena(Float64, QuadraticDouble, 100)
 	if a32.Bytes() != 800 {
 		t.Errorf("float32 arena bytes = %d, want 800", a32.Bytes())
 	}
@@ -289,9 +292,9 @@ func TestArenaBytes(t *testing.T) {
 
 func TestTablesDoNotOverlap(t *testing.T) {
 	// Two vertices with adjacent CSR offsets: their windows must be disjoint.
-	a := NewArena(Float32, 2*(8+8))
-	t1 := a.TableFor(0, 8, Linear) // window [0,15)
-	t2 := a.TableFor(8, 8, Linear) // window [16,31)
+	a := NewArena(Float32, Linear, 2*(8+8))
+	t1 := a.TableFor(0, 8) // window [0,15)
+	t2 := a.TableFor(8, 8) // window [16,31)
 	t1.Clear(0, 1)
 	t2.Clear(0, 1)
 	t1.Accumulate(1, 10, false)
@@ -306,8 +309,8 @@ func TestTablesDoNotOverlap(t *testing.T) {
 func TestFloat32PrecisionBehaviour(t *testing.T) {
 	// Accumulating unit weights stays exact in float32 well beyond any
 	// realistic degree (< 2^24), which is why Figure 5 sees no quality loss.
-	a := NewArena(Float32, 8)
-	tb := a.TableFor(0, 2, Linear)
+	a := NewArena(Float32, Linear, 8)
+	tb := a.TableFor(0, 2)
 	tb.Clear(0, 1)
 	for i := 0; i < 100000; i++ {
 		tb.Accumulate(1, 1, false)
@@ -318,8 +321,8 @@ func TestFloat32PrecisionBehaviour(t *testing.T) {
 }
 
 func TestMaxKeyStrided(t *testing.T) {
-	a := NewArena(Float64, 64)
-	tb := a.TableFor(0, 8, Linear) // capacity 15
+	a := NewArena(Float64, Linear, 64)
+	tb := a.TableFor(0, 8) // capacity 15
 	tb.Clear(0, 1)
 	// Keys land at slot = key mod 15.
 	tb.Accumulate(1, 5, false)  // slot 1
@@ -353,8 +356,8 @@ func TestMaxKeyStrided(t *testing.T) {
 // chains: many distinct keys with identical home slots.
 func TestSharedCollidingKeys(t *testing.T) {
 	for _, pr := range allProbings {
-		a := NewArena(Float64, 2*64)
-		tb := a.TableFor(0, 64, pr) // capacity 127
+		a := NewArena(Float64, pr, 2*64)
+		tb := a.TableFor(0, 64) // capacity 127
 		tb.Clear(0, 1)
 		// Keys k, k+127, k+2*127... share home slots.
 		var wg sync.WaitGroup

@@ -99,14 +99,14 @@ func TestSnapshotDeltas(t *testing.T) {
 func TestMetricsRideStatsGate(t *testing.T) {
 	countBefore := func() int64 { return mProbeLen.Count() }
 
-	off := NewArena(Float32, 64)
-	tb := off.TableFor(0, 8, QuadraticDouble)
+	off := NewArena(Float32, QuadraticDouble, 64)
+	tb := off.TableFor(0, 8)
 	tb.Accumulate(1, 1, false)
 	c0 := countBefore()
 
-	on := NewArena(Float32, 64)
+	on := NewArena(Float32, QuadraticDouble, 64)
 	on.Stats = &Stats{}
-	tb = on.TableFor(0, 8, QuadraticDouble)
+	tb = on.TableFor(0, 8)
 	if !tb.Accumulate(1, 1, false) {
 		t.Fatal("accumulate failed")
 	}
@@ -114,8 +114,8 @@ func TestMetricsRideStatsGate(t *testing.T) {
 		t.Fatalf("probe histogram advanced by %d with Stats attached, want 1", got-c0)
 	}
 
-	off2 := NewArena(Float32, 64)
-	tb = off2.TableFor(0, 8, QuadraticDouble)
+	off2 := NewArena(Float32, QuadraticDouble, 64)
+	tb = off2.TableFor(0, 8)
 	tb.Accumulate(2, 1, false)
 	if got := countBefore(); got != c0+1 {
 		t.Fatalf("probe histogram advanced without Stats (count %d, want %d)", got, c0+1)

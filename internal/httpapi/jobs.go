@@ -290,7 +290,6 @@ func (s *jobStore) submit(spec JobSpec, tenant string) (*job, error) {
 	s.mu.Lock()
 	j.id = s.next
 	s.next++
-	s.jobs[j.id] = j
 	s.mu.Unlock()
 	// The job's root span: everything the run does — detect, iterations,
 	// kernel launches, fault recovery — nests under it, and its trace id is
@@ -310,6 +309,11 @@ func (s *jobStore) submit(spec JobSpec, tenant string) (*job, error) {
 		Span:     j.span,
 	})
 	j.rec.SetSink(j.health)
+	// Publish only once the fields concurrent readers (list, get) see
+	// without j.mu are final.
+	s.mu.Lock()
+	s.jobs[j.id] = j
+	s.mu.Unlock()
 
 	dec, err := s.sched.Submit(&sched.Task{
 		Tenant:   tenant,
@@ -407,28 +411,31 @@ func (j *job) requestCancel() bool {
 // are no-ops. It releases the run's context resources and triggers store
 // eviction accounting.
 func (j *job) finish(state JobState, err error, res *engine.Result, mod float64) {
+	// Post-mortem capture: faults, deadlines, and backend degradation each
+	// freeze the flight recorder before the monitor closes. A clean finish
+	// keeps the monitor's frames around for an explicit /jobs/{id}/flight.
+	// The bundle is stored in the same critical section that publishes the
+	// terminal state, so a client that sees the job finished also gets its
+	// post-mortem from /jobs/{id}/flight.
+	reason := flightReason(state, err, res)
 	j.mu.Lock()
 	if j.state.Terminal() {
 		j.mu.Unlock()
 		return
 	}
-	j.state, j.err, j.res, j.mod = state, err, res, mod
-	j.mu.Unlock()
-	j.cancel()
-	// Post-mortem capture: faults, deadlines, and backend degradation each
-	// freeze the flight recorder before the monitor closes. A clean finish
-	// keeps the monitor's frames around for an explicit /jobs/{id}/flight.
-	if reason := flightReason(state, err, res); reason != "" {
+	if reason != "" {
 		switch reason {
 		case "degraded":
 			j.health.RecordEvent("fallback:direct", "simt backend degraded to direct")
 		default:
 			j.health.RecordEvent(reason, err.Error())
 		}
-		b := j.health.Flight(reason)
-		j.mu.Lock()
-		j.flight = b
-		j.mu.Unlock()
+		j.flight = j.health.Flight(reason)
+	}
+	j.state, j.err, j.res, j.mod = state, err, res, mod
+	j.mu.Unlock()
+	j.cancel()
+	if reason != "" {
 		slog.Warn("job flight recorded", "job", j.id, "reason", reason, "trace", j.traceID)
 	}
 	j.health.Close()

@@ -117,7 +117,7 @@ func checkOptions(opt *Options) error {
 // runState is the device-resident state shared by the kernels of one run.
 type runState struct {
 	g         *graph.CSR
-	arena     anyArena
+	arena     *hashtable.Arena
 	labels    []uint32 // C
 	prev      []uint32 // labels before the current iteration (Cross-Check)
 	processed []uint32 // vertex pruning flags: 1 = skip
@@ -128,29 +128,37 @@ type runState struct {
 
 	// Work accounting. countWork gates the kernels' counter updates — set
 	// when the device profiler consumes work counters (simt.WantsWork).
-	// stats is the hashtable probe source for per-kernel attribution;
-	// lastHash is the snapshot at the previous kernel drain (kernel
-	// launches within a run are serialized, so a plain field suffices).
-	// iterEdges/iterActive accumulate the iteration's totals for the
-	// IterRecord: the simt backend adds from TakeWork on the launching
-	// goroutine, the direct backend adds worker-local sums atomically.
+	// The arena's Stats are the hashtable probe source for per-kernel
+	// attribution; lastHash is their snapshot at the previous kernel drain
+	// (kernel launches within a run are serialized, so a plain field
+	// suffices). iterEdges/iterActive accumulate the iteration's totals for
+	// the IterRecord: the simt backend adds from TakeWork on the launching
+	// goroutine, the direct backend adds chunk-local sums atomically.
 	countWork  bool
-	stats      *hashtable.Stats
 	lastHash   hashtable.StatsSnapshot
 	iterEdges  int64
 	iterActive int64
 }
 
-// takeHashWork drains the hashtable probe/collision deltas since the last
-// kernel drain — the per-kernel attribution of the arena's shared stats.
-func (st *runState) takeHashWork() (probes, collisions int64) {
-	if st.stats == nil {
-		return 0, 0
+// newRunState allocates the kernel state of one run over g: the hashtable
+// arena (2·|E| slots), identity labels, cleared pruning flags and, with
+// Cross-Check, the previous-label snapshot.
+func newRunState(g *graph.CSR, opt Options) *runState {
+	n := g.NumVertices()
+	st := &runState{
+		g:         g,
+		arena:     hashtable.NewArena(opt.ValueKind, opt.Probing, 2*g.NumArcs()),
+		labels:    make([]uint32, n),
+		processed: make([]uint32, n),
+		noPrune:   opt.DisablePruning,
 	}
-	cur := st.stats.Snapshot()
-	d := cur.Sub(st.lastHash)
-	st.lastHash = cur
-	return d.Probes, d.Collisions
+	for i := range st.labels {
+		st.labels[i] = uint32(i)
+	}
+	if opt.CrossCheckEvery > 0 {
+		st.prev = make([]uint32, n)
+	}
+	return st
 }
 
 func detectSIMT(g *graph.CSR, opt Options) (*Result, error) {
@@ -232,10 +240,10 @@ func newDeviceRun(g *graph.CSR, opt Options, dev *simt.Device, view runView) (*d
 	n := g.NumVertices()
 	arcs := g.NumArcs()
 
-	st := &runState{g: g, arena: newAnyArena(opt, 2*arcs), noPrune: opt.DisablePruning}
+	st := newRunState(g, opt)
 	// Device memory: CSR (offsets, targets, weights), hashtable arena,
 	// labels, pruning flags, candidate buffer.
-	bytes := int64(len(g.Offsets))*8 + arcs*4 + arcs*4 + st.arena.bytes() + int64(n)*4*3
+	bytes := int64(len(g.Offsets))*8 + arcs*4 + arcs*4 + st.arena.Bytes() + int64(n)*4*3
 	if opt.CrossCheckEvery > 0 {
 		bytes += int64(n) * 4
 	}
@@ -246,28 +254,16 @@ func newDeviceRun(g *graph.CSR, opt Options, dev *simt.Device, view runView) (*d
 	res := &Result{DeviceBytes: bytes}
 	if opt.TrackStats {
 		res.HashStats = &hashtable.Stats{}
-		st.arena.attachStats(res.HashStats)
+		st.arena.Stats = res.HashStats
 	}
 	st.countWork = simt.WantsWork(dev.Prof)
-	st.stats = res.HashStats
-	if st.countWork && st.stats == nil {
+	if st.countWork && st.arena.Stats == nil {
 		// Work counters want per-kernel probe attribution even when the
 		// caller did not ask for the Result-level stats.
-		st.stats = &hashtable.Stats{}
-		st.arena.attachStats(st.stats)
+		st.arena.Stats = &hashtable.Stats{}
 	}
-
-	st.labels = make([]uint32, n)
-	st.processed = make([]uint32, n)
 	if view.labels != nil {
 		copy(st.labels, view.labels)
-	} else {
-		for i := range st.labels {
-			st.labels[i] = uint32(i)
-		}
-	}
-	if opt.CrossCheckEvery > 0 {
-		st.prev = make([]uint32, n)
 	}
 
 	limit := view.propagate
@@ -281,8 +277,8 @@ func newDeviceRun(g *graph.CSR, opt Options, dev *simt.Device, view runView) (*d
 		dev:  dev,
 		opt:  opt,
 		res:  res,
-		tk:   &threadKernel{runState: st, list: low, cand: make([]uint32, len(low))},
-		bk:   &blockKernel{runState: st, list: high, blockDim: opt.BlockDim},
+		tk:   &threadKernel{kernelWork: kernelWork{runState: st}, list: low, cand: make([]uint32, len(low))},
+		bk:   &blockKernel{kernelWork: kernelWork{runState: st}, list: high, blockDim: opt.BlockDim},
 		low:  low,
 		high: high,
 		n:    n,
@@ -337,23 +333,13 @@ func (r *deviceRun) iterate(ctx context.Context, iter int) engine.IterOutcome {
 	// Recovery loop: attempt the iteration, and on a launch fault or a
 	// corrupted label array roll back to the checkpoint and retry with
 	// exponential backoff, up to maxRetries consecutive attempts.
-	var tkDur, bkDur, ckDur time.Duration
-	var pruned, retries int64
+	var rec IterStat
 	var hashBase hashtable.StatsSnapshot
 	var casBase simt.ContentionCounts
 	for attempt := 0; ; attempt++ {
-		atomic.StoreInt64(&st.deltaN, 0)
-		atomic.StoreInt64(&st.reverts, 0)
-		st.iterEdges, st.iterActive = 0, 0
-		if crosscheck {
-			copy(st.prev, st.labels)
-		}
-		hashBase = res.HashStats.Snapshot()
+		rec, hashBase = st.beginIteration(res, crosscheck, opt.Profiler != nil)
+		rec.Retries = int64(attempt)
 		casBase = simt.ContentionSnapshot()
-		pruned = 0
-		if opt.Profiler != nil && !st.noPrune {
-			pruned = countPruned(st.processed)
-		}
 
 		err := func() error {
 			if len(r.low) > 0 {
@@ -361,22 +347,22 @@ func (r *deviceRun) iterate(ctx context.Context, iter int) engine.IterOutcome {
 				if err := dev.LaunchKernel1D(ctx, len(r.low), opt.BlockDim, r.tk); err != nil {
 					return err
 				}
-				tkDur = time.Since(t0)
+				rec.ThreadKernel = time.Since(t0)
 			}
 			if len(r.high) > 0 {
 				t0 := time.Now()
 				if err := dev.LaunchKernel(ctx, len(r.high), opt.BlockDim, r.bk); err != nil {
 					return err
 				}
-				bkDur = time.Since(t0)
+				rec.BlockKernel = time.Since(t0)
 			}
 			if crosscheck {
-				ck := &crossCheckKernel{runState: st}
+				ck := &crossCheckKernel{kernelWork{runState: st}}
 				t0 := time.Now()
 				if err := dev.LaunchKernel1D(ctx, r.n, opt.BlockDim, ck); err != nil {
 					return err
 				}
-				ckDur = time.Since(t0)
+				rec.CrossKernel = time.Since(t0)
 			}
 			return nil
 		}()
@@ -412,7 +398,6 @@ func (r *deviceRun) iterate(ctx context.Context, iter int) engine.IterOutcome {
 			return engine.IterOutcome{Err: fmt.Errorf("%w: iteration %d failed %d consecutive attempts, last: %v",
 				ErrFaulted, iter, attempt+1, err)}
 		}
-		retries++
 		res.Retries++
 		mRetries.Inc()
 		ispan.Event("retry", map[string]any{"attempt": int64(attempt + 1)})
@@ -421,45 +406,8 @@ func (r *deviceRun) iterate(ctx context.Context, iter int) engine.IterOutcome {
 		}
 	}
 
-	gross := atomic.LoadInt64(&st.deltaN)
-	reverts := atomic.LoadInt64(&st.reverts)
-	delta := gross - reverts
-	res.Moves += delta
-	res.Reverts += reverts
-	res.DeltaHistory = append(res.DeltaHistory, delta)
-	rec := IterStat{
-		PickLess:       st.pickless,
-		CrossCheck:     crosscheck,
-		Moves:          gross,
-		Reverts:        reverts,
-		DeltaN:         delta,
-		Pruned:         pruned,
-		Retries:        retries,
-		ThreadKernel:   tkDur,
-		BlockKernel:    bkDur,
-		CrossKernel:    ckDur,
-		CASRetries:     simt.ContentionSnapshot().Sub(casBase).Total(),
-		EdgeVisits:     st.iterEdges,
-		ActiveVertices: st.iterActive,
-	}
-	if res.HashStats != nil {
-		d := res.HashStats.Snapshot().Sub(hashBase)
-		rec.HashAccumulates = d.Accumulates
-		rec.HashProbes = d.Probes
-		rec.HashCollisions = d.Collisions
-		rec.HashFallbacks = d.Fallbacks
-	}
-	return engine.IterOutcome{
-		Record: rec,
-		// Pick-Less iterations intentionally move few vertices and must
-		// not count as convergence.
-		ForceContinue: st.pickless,
-		// A fixed point under permanent Pick-Less is also converged.
-		Stop: delta == 0 && opt.PickLessEvery == 1,
-		// Labels feed the quality plane on single-device runs; sharded runs
-		// discard the per-shard view and gather a global one instead.
-		Labels: st.labels,
-	}
+	rec.CASRetries = simt.ContentionSnapshot().Sub(casBase).Total()
+	return st.endIteration(res, rec, hashBase, opt.PickLessEvery)
 }
 
 // labelsValid is the partition-validity check the recovery path runs after
@@ -529,32 +477,44 @@ func partitionByDegree(g *graph.CSR, switchDegree, limit int) (low, high []graph
 	return low, high
 }
 
+// kernelWork is the work ledger embedded by every ν-LPA kernel: the
+// launch's counters, which TakeWork drains.
+type kernelWork struct {
+	*runState
+	work simt.WorkAccum
+}
+
+// TakeWork implements simt.WorkReportingKernel, draining the launch's work
+// counters; hashtable probes are attributed from the arena stats delta
+// since the previous kernel drain.
+func (k *kernelWork) TakeWork() (edgeVisits, labelFlips, hashProbes, hashCollisions, activeVertices int64) {
+	ev, lf, _, _, av := k.work.Take()
+	if stats := k.arena.Stats; stats != nil {
+		cur := stats.Snapshot()
+		d := cur.Sub(k.lastHash)
+		k.lastHash = cur
+		hashProbes, hashCollisions = d.Probes, d.Collisions
+	}
+	k.iterEdges += ev
+	k.iterActive += av
+	return ev, lf, hashProbes, hashCollisions, av
+}
+
 // threadKernel is the thread-per-vertex kernel for low-degree vertices. Two
 // lockstep phases: phase 0 reads neighbour labels and picks the candidate,
 // phase 1 writes the move. All lanes of a block therefore read before any
 // lane writes — the exact interleaving that produces community swaps on
 // lockstep hardware.
 type threadKernel struct {
-	*runState
+	kernelWork
 	list []graph.Vertex
 	cand []uint32
-	work simt.WorkAccum
 }
 
 func (k *threadKernel) NumPhases() int { return 2 }
 
 // KernelName implements simt.NamedKernel for profiling.
 func (k *threadKernel) KernelName() string { return "thread-per-vertex" }
-
-// TakeWork implements simt.WorkReportingKernel, draining the launch's work
-// counters; hashtable probes are attributed from the arena stats delta.
-func (k *threadKernel) TakeWork() (edgeVisits, labelFlips, hashProbes, hashCollisions, activeVertices int64) {
-	ev, lf, _, _, av := k.work.Take()
-	hp, hc := k.takeHashWork()
-	k.iterEdges += ev
-	k.iterActive += av
-	return ev, lf, hp, hc, av
-}
 
 func (k *threadKernel) Phase(p int, t *simt.Thread) {
 	gid := t.GlobalID()
@@ -564,49 +524,21 @@ func (k *threadKernel) Phase(p int, t *simt.Thread) {
 	i := k.list[gid]
 	switch p {
 	case 0:
-		k.cand[gid] = hashtable.EmptyKey
-		if !k.noPrune {
-			if simt.AtomicLoadUint32(k.processed, int(i)) == 1 {
-				return
-			}
-			simt.AtomicStoreUint32(k.processed, int(i), 1)
-		}
-		deg := k.g.Degree(i)
-		if k.countWork {
+		c, scanned := k.candidate(i)
+		k.cand[gid] = c
+		if scanned && k.countWork {
 			k.work.ActiveVertices.Add(1)
-			k.work.EdgeVisits.Add(int64(deg))
-		}
-		tb := k.arena.tableFor(k.g.Offset(i), deg)
-		tb.clear(0, 1)
-		ts, ws := k.g.Neighbors(i)
-		for idx, j := range ts {
-			if j == i {
-				continue
-			}
-			cj := simt.AtomicLoadUint32(k.labels, int(j))
-			tb.accumulate(cj, float64(ws[idx]), false)
-		}
-		if c, _, ok := tb.best(); ok {
-			k.cand[gid] = c
+			k.work.EdgeVisits.Add(int64(k.g.Degree(i)))
 		}
 	case 1:
-		c := k.cand[gid]
-		if c == hashtable.EmptyKey {
+		if !k.commit(i, k.cand[gid]) {
 			return
 		}
-		cur := simt.AtomicLoadUint32(k.labels, int(i))
-		if c == cur || (k.pickless && c > cur) {
-			return
-		}
-		simt.AtomicStoreUint32(k.labels, int(i), c)
 		atomic.AddInt64(&k.deltaN, 1)
-		ts, _ := k.g.Neighbors(i)
-		for _, j := range ts {
-			simt.AtomicStoreUint32(k.processed, int(j), 0)
-		}
+		woken := k.wake(i)
 		if k.countWork {
 			k.work.LabelFlips.Add(1)
-			k.work.EdgeVisits.Add(int64(len(ts))) // neighbour wake-up scan
+			k.work.EdgeVisits.Add(int64(woken)) // neighbour wake-up scan
 		}
 	}
 }
@@ -619,10 +551,9 @@ func (k *threadKernel) Phase(p int, t *simt.Thread) {
 // move. Shared memory layout: word 0 = skip flag, word 1 = moved flag,
 // words [2, 2+2·blockDim) = per-lane (key, weight-bits) partial maxima.
 type blockKernel struct {
-	*runState
+	kernelWork
 	list     []graph.Vertex
 	blockDim int
-	work     simt.WorkAccum
 }
 
 func (k *blockKernel) NumPhases() int     { return 6 }
@@ -630,15 +561,6 @@ func (k *blockKernel) SharedUint64s() int { return 2 + 2*k.blockDim }
 
 // KernelName implements simt.NamedKernel for profiling.
 func (k *blockKernel) KernelName() string { return "block-per-vertex" }
-
-// TakeWork implements simt.WorkReportingKernel; see threadKernel.TakeWork.
-func (k *blockKernel) TakeWork() (edgeVisits, labelFlips, hashProbes, hashCollisions, activeVertices int64) {
-	ev, lf, _, _, av := k.work.Take()
-	hp, hc := k.takeHashWork()
-	k.iterEdges += ev
-	k.iterActive += av
-	return ev, lf, hp, hc, av
-}
 
 func (k *blockKernel) Phase(p int, t *simt.Thread) {
 	if t.Block >= len(k.list) {
@@ -650,14 +572,9 @@ func (k *blockKernel) Phase(p int, t *simt.Thread) {
 		if t.Lane != 0 {
 			return
 		}
-		if !k.noPrune {
-			if simt.AtomicLoadUint32(k.processed, int(i)) == 1 {
-				t.Shared[0] = 1
-				return
-			}
-			simt.AtomicStoreUint32(k.processed, int(i), 1)
-		} else {
-			t.Shared[0] = 0
+		if !k.claim(i) {
+			t.Shared[0] = 1
+			return
 		}
 		if k.countWork {
 			k.work.ActiveVertices.Add(1)
@@ -667,13 +584,13 @@ func (k *blockKernel) Phase(p int, t *simt.Thread) {
 		if t.Shared[0] == 1 {
 			return
 		}
-		tb := k.arena.tableFor(k.g.Offset(i), k.g.Degree(i))
-		tb.clear(t.Lane, t.BlockDim)
+		tb := k.arena.TableFor(k.g.Offset(i), k.g.Degree(i))
+		tb.Clear(t.Lane, t.BlockDim)
 	case 2: // strided atomic accumulation of neighbour labels
 		if t.Shared[0] == 1 {
 			return
 		}
-		tb := k.arena.tableFor(k.g.Offset(i), k.g.Degree(i))
+		tb := k.arena.TableFor(k.g.Offset(i), k.g.Degree(i))
 		ts, ws := k.g.Neighbors(i)
 		for idx := t.Lane; idx < len(ts); idx += t.BlockDim {
 			j := ts[idx]
@@ -681,14 +598,14 @@ func (k *blockKernel) Phase(p int, t *simt.Thread) {
 				continue
 			}
 			cj := simt.AtomicLoadUint32(k.labels, int(j))
-			tb.accumulate(cj, float64(ws[idx]), true)
+			tb.Accumulate(cj, float64(ws[idx]), true)
 		}
 	case 3: // parallel max-reduce, step 1: per-lane partial maxima
 		if t.Shared[0] == 1 {
 			return
 		}
-		tb := k.arena.tableFor(k.g.Offset(i), k.g.Degree(i))
-		bestK, bestW, ok := tb.BestStrided(t.Lane, t.BlockDim)
+		tb := k.arena.TableFor(k.g.Offset(i), k.g.Degree(i))
+		bestK, bestW, ok := tb.MaxKeyStrided(t.Lane, t.BlockDim)
 		slot := 2 + 2*t.Lane
 		if !ok {
 			t.Shared[slot] = uint64(hashtable.EmptyKey)
@@ -703,7 +620,6 @@ func (k *blockKernel) Phase(p int, t *simt.Thread) {
 		t.Shared[1] = 0
 		c := hashtable.EmptyKey
 		var w float64
-		ok := false
 		for lane := 0; lane < t.BlockDim; lane++ {
 			slot := 2 + 2*lane
 			lk := uint32(t.Shared[slot])
@@ -711,18 +627,13 @@ func (k *blockKernel) Phase(p int, t *simt.Thread) {
 				continue
 			}
 			lw := math.Float64frombits(t.Shared[slot+1])
-			if !ok || lw > w {
-				c, w, ok = lk, lw, true
+			if c == hashtable.EmptyKey || lw > w {
+				c, w = lk, lw
 			}
 		}
-		if !ok {
+		if !k.commit(i, c) {
 			return
 		}
-		cur := simt.AtomicLoadUint32(k.labels, int(i))
-		if c == cur || (k.pickless && c > cur) {
-			return
-		}
-		simt.AtomicStoreUint32(k.labels, int(i), c)
 		atomic.AddInt64(&k.deltaN, 1)
 		t.Shared[1] = 1
 		if k.countWork {
@@ -742,16 +653,17 @@ func (k *blockKernel) Phase(p int, t *simt.Thread) {
 	}
 }
 
-// crossCheckKernel implements the Cross-Check (CC) method: a community
-// change of vertex i to c* is "good" only if the leader vertex c* itself
-// belongs to community c*; otherwise i reverts to its previous label. The
-// check and revert are fused in a single phase, so within a block the first
-// of a swapped pair reverts and the partner then observes a good change —
-// the asymmetry that breaks the swap cycle (§4.1). Across blocks the same
-// asymmetry arises from asynchronous SM execution.
+// crossCheckKernel runs the Cross-Check revert (runState.revert) over every
+// vertex. The check and revert are fused in a single phase, so within a
+// block the first of a swapped pair reverts and the partner then observes a
+// good change — the asymmetry that breaks the swap cycle (§4.1). Across
+// blocks the same asymmetry arises from asynchronous SM execution.
+//
+// Its work ledger counts each revert as a label flip back. The kernel does
+// not touch the hashtable, so the probe delta it drains is ~0 and keeps the
+// per-kernel ledger exhaustive.
 type crossCheckKernel struct {
-	*runState
-	work simt.WorkAccum
+	kernelWork
 }
 
 func (k *crossCheckKernel) NumPhases() int { return 1 }
@@ -759,35 +671,13 @@ func (k *crossCheckKernel) NumPhases() int { return 1 }
 // KernelName implements simt.NamedKernel for profiling.
 func (k *crossCheckKernel) KernelName() string { return "cross-check" }
 
-// TakeWork implements simt.WorkReportingKernel: every vertex is inspected
-// (one leader lookup each, counted as active), and a revert is a label flip
-// back. The kernel does not touch the hashtable, so the probe delta it
-// drains is ~0 and keeps the per-kernel ledger exhaustive.
-func (k *crossCheckKernel) TakeWork() (edgeVisits, labelFlips, hashProbes, hashCollisions, activeVertices int64) {
-	ev, lf, _, _, av := k.work.Take()
-	hp, hc := k.takeHashWork()
-	k.iterEdges += ev
-	k.iterActive += av
-	return ev, lf, hp, hc, av
-}
-
 func (k *crossCheckKernel) Phase(_ int, t *simt.Thread) {
 	i := t.GlobalID()
-	if i >= len(k.labels) {
+	if i >= len(k.labels) || !k.revert(i) {
 		return
 	}
-	cur := simt.AtomicLoadUint32(k.labels, i)
-	if cur == k.prev[i] {
-		return
-	}
-	leader := simt.AtomicLoadUint32(k.labels, int(cur))
-	if leader != cur {
-		simt.AtomicStoreUint32(k.labels, i, k.prev[i])
-		atomic.AddInt64(&k.reverts, 1)
-		// The vertex changed again; let its neighbourhood reconsider.
-		simt.AtomicStoreUint32(k.processed, i, 0)
-		if k.countWork {
-			k.work.LabelFlips.Add(1)
-		}
+	atomic.AddInt64(&k.reverts, 1)
+	if k.countWork {
+		k.work.LabelFlips.Add(1)
 	}
 }

@@ -211,7 +211,7 @@ func TestValueKinds(t *testing.T) {
 func TestCoalescedTableVariant(t *testing.T) {
 	g, truth := gen.Planted(gen.PlantedConfig{N: 300, Communities: 6, DegIn: 12, DegOut: 0.5, Seed: 9})
 	opt := DefaultOptions()
-	opt.Coalesced = true
+	opt.Probing = hashtable.Coalesced
 	res := detect(t, g, opt)
 	if nmi := quality.NMI(res.Labels, truth); nmi < 0.8 {
 		t.Errorf("coalesced: NMI = %.3f", nmi)
@@ -312,15 +312,17 @@ func TestTrackStats(t *testing.T) {
 	}
 }
 
+// TestDeltaHistoryShape checks the per-iteration ΔN history the Trace
+// carries: one entry per iteration, summing to the net move count.
 func TestDeltaHistoryShape(t *testing.T) {
 	g, _ := gen.Planted(gen.PlantedConfig{N: 200, Communities: 4, DegIn: 10, DegOut: 0.5, Seed: 12})
 	res := detect(t, g, DefaultOptions())
-	if len(res.DeltaHistory) != res.Iterations {
-		t.Fatalf("history length %d != iterations %d", len(res.DeltaHistory), res.Iterations)
+	if len(res.Trace) != res.Iterations {
+		t.Fatalf("history length %d != iterations %d", len(res.Trace), res.Iterations)
 	}
 	var sum int64
-	for _, d := range res.DeltaHistory {
-		sum += d
+	for _, rec := range res.Trace {
+		sum += rec.DeltaN
 	}
 	if sum != res.Moves {
 		t.Errorf("history sum %d != moves %d", sum, res.Moves)

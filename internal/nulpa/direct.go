@@ -9,7 +9,6 @@ import (
 	"nulpa/internal/engine"
 	"nulpa/internal/graph"
 	"nulpa/internal/hashtable"
-	"nulpa/internal/simt"
 )
 
 // detectDirect executes the identical ν-LPA algorithm as a chunked multicore
@@ -21,28 +20,18 @@ import (
 // is still applied on the same schedule.
 func detectDirect(g *graph.CSR, opt Options) (*Result, error) {
 	n := g.NumVertices()
-	arcs := g.NumArcs()
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	st := &runState{g: g, arena: newAnyArena(opt, 2*arcs), noPrune: opt.DisablePruning}
-	res := &Result{DeviceBytes: st.arena.bytes()}
+	st := newRunState(g, opt)
+	res := &Result{DeviceBytes: st.arena.Bytes()}
 	if opt.TrackStats {
 		res.HashStats = &hashtable.Stats{}
-		st.arena.attachStats(res.HashStats)
-	}
-	st.labels = make([]uint32, n)
-	st.processed = make([]uint32, n)
-	for i := range st.labels {
-		st.labels[i] = uint32(i)
-	}
-	if opt.CrossCheckEvery > 0 {
-		st.prev = make([]uint32, n)
+		st.arena.Stats = res.HashStats
 	}
 
-	const chunk = 1024
 	lr := engine.Loop(engine.LoopConfig{
 		MaxIterations: opt.MaxIterations,
 		Threshold:     opt.Tolerance * float64(n),
@@ -51,96 +40,46 @@ func detectDirect(g *graph.CSR, opt Options) (*Result, error) {
 	}, func(_ context.Context, iter int) engine.IterOutcome {
 		st.pickless = opt.PickLessEvery > 0 && iter%opt.PickLessEvery == 0
 		crosscheck := opt.CrossCheckEvery > 0 && iter%opt.CrossCheckEvery == 0
-		atomic.StoreInt64(&st.deltaN, 0)
-		atomic.StoreInt64(&st.reverts, 0)
-		atomic.StoreInt64(&st.iterEdges, 0)
-		atomic.StoreInt64(&st.iterActive, 0)
-		if crosscheck {
-			copy(st.prev, st.labels)
-		}
-		hashBase := res.HashStats.Snapshot()
-		var pruned int64
-		if opt.Profiler != nil && !st.noPrune {
-			pruned = countPruned(st.processed)
-		}
+		rec, hashBase := st.beginIteration(res, crosscheck, opt.Profiler != nil)
 
-		var cursor int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				cand := make([]uint32, chunk)
-				var local, edges, active int64
-				for {
-					c := atomic.AddInt64(&cursor, chunk) - chunk
-					if c >= int64(n) {
-						break
-					}
-					hi := c + chunk
-					if hi > int64(n) {
-						hi = int64(n)
-					}
-					// Two-phase, like one SIMT block: compute every
-					// candidate in the chunk against a pre-move snapshot,
-					// then apply the moves. Fully asynchronous chunk-local
-					// sweeps would let Pick-Less iterations cascade one
-					// small label across a community in a single pass.
-					for v := c; v < hi; v++ {
-						var e int64
-						cand[v-c], e = candidateDirect(st, graph.Vertex(v))
-						if e > 0 {
-							edges += e
-							active++
-						}
-					}
-					for v := c; v < hi; v++ {
-						if applyMoveDirect(st, graph.Vertex(v), cand[v-c]) {
-							local++
-							edges += int64(st.g.Degree(graph.Vertex(v))) // wake scan
-						}
+		forChunks(n, directChunk, workers, func(lo, hi int) {
+			// Two-phase, like one SIMT block: compute every candidate in
+			// the chunk against a pre-move snapshot, then apply the moves.
+			// Fully asynchronous chunk-local sweeps would let Pick-Less
+			// iterations cascade one small label across a community in a
+			// single pass.
+			var cand [directChunk]uint32
+			var moves, edges, active int64
+			for v := lo; v < hi; v++ {
+				c, scanned := st.candidate(graph.Vertex(v))
+				cand[v-lo] = c
+				if scanned {
+					active++
+					edges += int64(g.Degree(graph.Vertex(v)))
+				}
+			}
+			for v := lo; v < hi; v++ {
+				if st.commit(graph.Vertex(v), cand[v-lo]) {
+					moves++
+					edges += int64(st.wake(graph.Vertex(v)))
+				}
+			}
+			atomic.AddInt64(&st.deltaN, moves)
+			atomic.AddInt64(&st.iterEdges, edges)
+			atomic.AddInt64(&st.iterActive, active)
+		})
+		if crosscheck {
+			forChunks(n, 4*directChunk, workers, func(lo, hi int) {
+				var reverts int64
+				for i := lo; i < hi; i++ {
+					if st.revert(i) {
+						reverts++
 					}
 				}
-				atomic.AddInt64(&st.deltaN, local)
-				atomic.AddInt64(&st.iterEdges, edges)
-				atomic.AddInt64(&st.iterActive, active)
-			}()
+				atomic.AddInt64(&st.reverts, reverts)
+			})
 		}
-		wg.Wait()
-
-		if crosscheck {
-			crossCheckDirect(st, workers)
-		}
-
-		gross := atomic.LoadInt64(&st.deltaN)
-		reverts := atomic.LoadInt64(&st.reverts)
-		delta := gross - reverts
-		res.Moves += delta
-		res.Reverts += reverts
-		res.DeltaHistory = append(res.DeltaHistory, delta)
-		rec := IterStat{
-			PickLess:       st.pickless,
-			CrossCheck:     crosscheck,
-			Moves:          gross,
-			Reverts:        reverts,
-			DeltaN:         delta,
-			Pruned:         pruned,
-			EdgeVisits:     atomic.LoadInt64(&st.iterEdges),
-			ActiveVertices: atomic.LoadInt64(&st.iterActive),
-		}
-		if res.HashStats != nil {
-			d := res.HashStats.Snapshot().Sub(hashBase)
-			rec.HashAccumulates = d.Accumulates
-			rec.HashProbes = d.Probes
-			rec.HashCollisions = d.Collisions
-			rec.HashFallbacks = d.Fallbacks
-		}
-		return engine.IterOutcome{
-			Record:        rec,
-			ForceContinue: st.pickless,
-			Stop:          delta == 0 && opt.PickLessEvery == 1,
-			Labels:        st.labels,
-		}
+		return st.endIteration(res, rec, hashBase, opt.PickLessEvery)
 	})
 	if lr.Err != nil {
 		return nil, lr.Err
@@ -153,91 +92,26 @@ func detectDirect(g *graph.CSR, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// candidateDirect computes a vertex's most weighted neighbouring label, or
-// hashtable.EmptyKey when the vertex is skipped (pruned or isolated). The
-// second return is the number of edges scanned — zero exactly when the
-// vertex was skipped, which doubles as the active-vertex signal.
-func candidateDirect(st *runState, i graph.Vertex) (uint32, int64) {
-	if !st.noPrune && simt.AtomicLoadUint32(st.processed, int(i)) == 1 {
-		return hashtable.EmptyKey, 0
-	}
-	deg := st.g.Degree(i)
-	if deg == 0 {
-		return hashtable.EmptyKey, 0
-	}
-	if !st.noPrune {
-		simt.AtomicStoreUint32(st.processed, int(i), 1)
-	}
-	tb := st.arena.tableFor(st.g.Offset(i), deg)
-	tb.clear(0, 1)
-	ts, ws := st.g.Neighbors(i)
-	for idx, j := range ts {
-		if j == i {
-			continue
-		}
-		cj := simt.AtomicLoadUint32(st.labels, int(j))
-		tb.accumulate(cj, float64(ws[idx]), false)
-	}
-	c, _, ok := tb.best()
-	if !ok {
-		return hashtable.EmptyKey, int64(deg)
-	}
-	return c, int64(deg)
-}
+// directChunk is the number of vertices a direct-backend worker claims at a
+// time.
+const directChunk = 1024
 
-// applyMoveDirect commits a candidate move under the Pick-Less rule and
-// wakes the neighbourhood; reports whether the label changed.
-func applyMoveDirect(st *runState, i graph.Vertex, c uint32) bool {
-	if c == hashtable.EmptyKey {
-		return false
-	}
-	cur := simt.AtomicLoadUint32(st.labels, int(i))
-	if c == cur || (st.pickless && c > cur) {
-		return false
-	}
-	simt.AtomicStoreUint32(st.labels, int(i), c)
-	ts, _ := st.g.Neighbors(i)
-	for _, j := range ts {
-		simt.AtomicStoreUint32(st.processed, int(j), 0)
-	}
-	return true
-}
-
-// crossCheckDirect applies the Cross-Check revert pass with a parallel
-// chunked loop.
-func crossCheckDirect(st *runState, workers int) {
-	n := len(st.labels)
-	const chunk = 4096
+// forChunks runs body over [0, n) split into chunks of the given size,
+// which workers goroutines claim from a shared cursor.
+func forChunks(n, chunk, workers int, body func(lo, hi int)) {
 	var cursor int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var local int64
 			for {
-				c := atomic.AddInt64(&cursor, chunk) - chunk
-				if c >= int64(n) {
-					break
+				lo := int(atomic.AddInt64(&cursor, int64(chunk))) - chunk
+				if lo >= n {
+					return
 				}
-				hi := c + chunk
-				if hi > int64(n) {
-					hi = int64(n)
-				}
-				for i := c; i < hi; i++ {
-					cur := simt.AtomicLoadUint32(st.labels, int(i))
-					if cur == st.prev[i] {
-						continue
-					}
-					leader := simt.AtomicLoadUint32(st.labels, int(cur))
-					if leader != cur {
-						simt.AtomicStoreUint32(st.labels, int(i), st.prev[i])
-						simt.AtomicStoreUint32(st.processed, int(i), 0)
-						local++
-					}
-				}
+				body(lo, min(lo+chunk, n))
 			}
-			atomic.AddInt64(&st.reverts, local)
 		}()
 	}
 	wg.Wait()

@@ -68,13 +68,11 @@ type Options struct {
 	// changes (new community whose leader left) are reverted. 0 disables.
 	CrossCheckEvery int
 	// Probing selects hashtable collision resolution (paper:
-	// quadratic-double).
+	// quadratic-double). hashtable.Coalesced (String "coalesced") selects
+	// the coalesced-chaining table of the appendix figure.
 	Probing hashtable.Probing
 	// ValueKind selects hashtable value width (paper: float32).
 	ValueKind hashtable.ValueKind
-	// Coalesced switches to the coalesced-chaining hashtable (appendix
-	// figure); Probing is ignored when set.
-	Coalesced bool
 	// SwitchDegree splits work between kernels: vertices with degree
 	// strictly below it go to the thread-per-vertex kernel, the rest to
 	// the block-per-vertex kernel (paper: 32).
@@ -190,10 +188,9 @@ type Result struct {
 	Moves int64
 	// Reverts is the number of Cross-Check reverts performed.
 	Reverts int64
-	// DeltaHistory records net changed-vertex counts per iteration.
-	DeltaHistory []int64
 	// Trace records per-iteration diagnostics (always populated; one entry
-	// per iteration).
+	// per iteration). Trace[i].DeltaN is iteration i's net changed-vertex
+	// count.
 	Trace []IterStat
 	// HashStats holds probe accounting when Options.TrackStats was set.
 	HashStats *hashtable.Stats

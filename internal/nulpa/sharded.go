@@ -161,7 +161,9 @@ func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 		// ascending order — deterministic regardless of how the superstep's
 		// device goroutines were scheduled.
 		st := plan.Exchange(labelArrs, func(s int, ghost graph.Vertex) {
-			wakeGhostNeighbors(runs[s].st, ghost)
+			// Owned neighbours of a changed ghost may pick a new label:
+			// ghost rows hold exactly the reverse arcs into owned rows.
+			runs[s].st.wake(ghost)
 		})
 		for s, c := range st.PerShard {
 			if c > 0 {
@@ -193,9 +195,6 @@ func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 			addStats(res.HashStats, r.res.HashStats.Snapshot())
 		}
 	}
-	for _, rec := range lr.Trace {
-		res.DeltaHistory = append(res.DeltaHistory, rec.DeltaN)
-	}
 	res.Labels = plan.Gather(labelArrs)
 	// Per-shard community census: distinct labels among each shard's owned
 	// rows — the partition-quality attribution that makes a shard whose halo
@@ -210,17 +209,6 @@ func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 		mShardCommunities.With(strconv.Itoa(s)).Set(float64(len(seen)))
 	}
 	return res, nil
-}
-
-// wakeGhostNeighbors clears the pruning flags of every owned vertex adjacent
-// to a ghost whose label just changed: their best-label decision may have
-// shifted, so they must be reprocessed next superstep. Ghost rows hold
-// exactly the reverse arcs into owned rows, so the scan is minimal.
-func wakeGhostNeighbors(st *runState, ghost graph.Vertex) {
-	ts, _ := st.g.Neighbors(ghost)
-	for _, j := range ts {
-		simt.AtomicStoreUint32(st.processed, int(j), 0)
-	}
 }
 
 // addStats folds a per-shard probe-accounting snapshot into the merged
