@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test test-full perfbench-test bench chaos trace-smoke perfdiff-smoke shard-smoke health-smoke load-smoke quality-smoke
+.PHONY: check build vet lint test test-full stress perfbench-test bench chaos trace-smoke perfdiff-smoke shard-smoke health-smoke load-smoke quality-smoke
 
-check: vet lint test perfbench-test chaos shard-smoke trace-smoke health-smoke load-smoke quality-smoke
+check: vet lint test stress perfbench-test chaos shard-smoke trace-smoke health-smoke load-smoke quality-smoke
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,13 @@ test:
 # Full suite without the race detector (what CI tier-1 runs).
 test-full:
 	$(GO) test ./...
+
+# Stress: the job-lifecycle, job-store, live-stream and flight tests twenty
+# times over under -race. These publish terminal job state to concurrent
+# readers, so an ordering bug shows up as an intermittent failure; one pass
+# of -short cannot tell a fix from luck.
+stress:
+	$(GO) test -race -count=20 -run 'Flight|JobStore|JobLifecycle|LiveStream' ./internal/httpapi/
 
 # The repository benchmark (perfbench/) is its own Go module built against
 # this one through a replace directive, so ./... above does not compile it.

@@ -214,3 +214,68 @@ func TestLiveStreamNotFound(t *testing.T) {
 		t.Fatalf("flight for missing job = %d", code)
 	}
 }
+
+// TestJobLifecycleLedgerBeforeEnd runs jobs one after another and, as soon
+// as each job's SSE stream delivers its end event, checks that /debug/vars
+// already counts the job: a reader woken by the end of a job must see a job
+// ledger that includes it.
+func TestJobLifecycleLedgerBeforeEnd(t *testing.T) {
+	ts := newTestServer(t)
+	// ledger returns the finished-job count summed over states and the
+	// job-duration observation count.
+	ledger := func() (finished float64, observed float64) {
+		_, body := get(t, ts.URL+"/debug/vars")
+		var doc struct {
+			Finished map[string]float64 `json:"httpapi_jobs_finished_total"`
+			Duration struct {
+				Count float64 `json:"count"`
+			} `json:"httpapi_job_duration_seconds"`
+		}
+		if err := json.Unmarshal([]byte(body), &doc); err != nil {
+			t.Fatalf("/debug/vars: %v", err)
+		}
+		for _, v := range doc.Finished {
+			finished += v
+		}
+		return finished, doc.Duration.Count
+	}
+	baseFinished, baseObserved := ledger()
+	const jobs = 5
+	for k := 1; k <= jobs; k++ {
+		spec := fmt.Sprintf(`{"algo":"nulpa","graph":{"gen":"planted","n":300,"deg":8,"seed":%d},"workers":1}`, k)
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readAll(t, resp)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit = %d %s", resp.StatusCode, body)
+		}
+		var st JobStatus
+		if err := json.Unmarshal([]byte(body), &st); err != nil {
+			t.Fatal(err)
+		}
+		live, err := http.Get(fmt.Sprintf("%s/debug/live/%d", ts.URL, st.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotEnd := false
+		sc := bufio.NewScanner(live.Body)
+		sc.Buffer(make([]byte, 1<<20), 1<<20)
+		for sc.Scan() {
+			if sc.Text() == "event: end" {
+				gotEnd = true
+				break
+			}
+		}
+		live.Body.Close()
+		if !gotEnd {
+			t.Fatalf("job %d: stream ended without an end event", st.ID)
+		}
+		finished, observed := ledger()
+		if finished < baseFinished+float64(k) || observed < baseObserved+float64(k) {
+			t.Fatalf("after job %d's end event: ledger counts %.0f finished, %.0f durations; want >= %d of each",
+				k, finished-baseFinished, observed-baseObserved, k)
+		}
+	}
+}

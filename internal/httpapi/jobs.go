@@ -416,7 +416,11 @@ func (j *job) finish(state JobState, err error, res *engine.Result, mod float64)
 	// keeps the monitor's frames around for an explicit /jobs/{id}/flight.
 	// The bundle is stored in the same critical section that publishes the
 	// terminal state, so a client that sees the job finished also gets its
-	// post-mortem from /jobs/{id}/flight.
+	// post-mortem from /jobs/{id}/flight. The job ledger
+	// (httpapi_jobs_finished_total, httpapi_job_duration_seconds) is
+	// recorded there too, so a client that sees the terminal state, or the
+	// SSE end event sent when the monitor closes below, already reads a
+	// ledger that counts this job.
 	reason := flightReason(state, err, res)
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -432,6 +436,9 @@ func (j *job) finish(state JobState, err error, res *engine.Result, mod float64)
 		}
 		j.flight = j.health.Flight(reason)
 	}
+	elapsed := time.Since(j.submitted)
+	mJobsByState.With(string(state)).Inc()
+	mJobSeconds.Observe(elapsed.Seconds())
 	j.state, j.err, j.res, j.mod = state, err, res, mod
 	j.mu.Unlock()
 	j.cancel()
@@ -439,15 +446,13 @@ func (j *job) finish(state JobState, err error, res *engine.Result, mod float64)
 		slog.Warn("job flight recorded", "job", j.id, "reason", reason, "trace", j.traceID)
 	}
 	j.health.Close()
-	mJobsByState.With(string(state)).Inc()
-	mJobSeconds.Observe(time.Since(j.submitted).Seconds())
 	j.span.SetString("state", string(state))
 	if err != nil {
 		j.span.SetString("error", err.Error())
 	}
 	j.span.End()
 	attrs := []any{"job", j.id, "state", string(state),
-		"durationMs", time.Since(j.submitted).Milliseconds(), "trace", j.traceID}
+		"durationMs", elapsed.Milliseconds(), "trace", j.traceID}
 	switch {
 	case err != nil && state == JobCanceled:
 		slog.Info("job canceled", attrs...)

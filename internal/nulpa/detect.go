@@ -550,6 +550,12 @@ func (k *threadKernel) Phase(p int, t *simt.Thread) {
 // the partials — the hashtableMaxKey "in parallel" of Algorithm 1), then the
 // move. Shared memory layout: word 0 = skip flag, word 1 = moved flag,
 // words [2, 2+2·blockDim) = per-lane (key, weight-bits) partial maxima.
+//
+// A block dispatches only the lanes its vertex's table can use (BlockLanes):
+// a lane at or beyond p1 ≥ degree owns no table slot and no arc, so in every
+// phase it would clear, accumulate, scan and wake nothing. Strides stay
+// BlockDim, so slot and arc ownership — and hence the result — is exactly
+// that of a full block.
 type blockKernel struct {
 	kernelWork
 	list     []graph.Vertex
@@ -558,6 +564,12 @@ type blockKernel struct {
 
 func (k *blockKernel) NumPhases() int     { return 6 }
 func (k *blockKernel) SharedUint64s() int { return 2 + 2*k.blockDim }
+
+// BlockLanes implements simt.BlockLanesKernel: the table capacity p1 of the
+// block's vertex.
+func (k *blockKernel) BlockLanes(b int) int {
+	return int(hashtable.CapacityFor(k.g.Degree(k.list[b])))
+}
 
 // KernelName implements simt.NamedKernel for profiling.
 func (k *blockKernel) KernelName() string { return "block-per-vertex" }
@@ -620,7 +632,9 @@ func (k *blockKernel) Phase(p int, t *simt.Thread) {
 		t.Shared[1] = 0
 		c := hashtable.EmptyKey
 		var w float64
-		for lane := 0; lane < t.BlockDim; lane++ {
+		// Only dispatched lanes wrote a partial; the slots of the others
+		// still hold the per-block zero, which would read as key 0.
+		for lane := 0; lane < t.Lanes; lane++ {
 			slot := 2 + 2*lane
 			lk := uint32(t.Shared[slot])
 			if lk == hashtable.EmptyKey {

@@ -390,6 +390,30 @@ func TestSelfLoopsIgnored(t *testing.T) {
 	}
 }
 
+// TestSelfLoopOnlyBlockVertexKeepsLabel covers a block-kernel vertex whose
+// table stays empty: its only arcs are self loops, so it has no candidate
+// label and must keep its own. Its block dispatches fewer lanes than
+// BlockDim, so the max-reduce must ignore the partial slots of lanes that
+// never ran (their zeroed words would otherwise read as label 0).
+func TestSelfLoopOnlyBlockVertexKeepsLabel(t *testing.T) {
+	edges := []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}}
+	for i := 0; i < 40; i++ {
+		edges = append(edges, graph.Edge{U: 3, V: 3, W: 1})
+	}
+	g, err := graph.FromEdges(edges, 4, graph.BuildOptions{Symmetrize: true, DropSelfLoops: false, SumDuplicates: false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := g.Degree(3); d < DefaultOptions().SwitchDegree {
+		t.Fatalf("vertex 3 has degree %d, want a block-kernel vertex", d)
+	}
+	opt := DefaultOptions()
+	opt.Device = simt.NewDevice(1)
+	if got := detect(t, g, opt).Labels[3]; got != 3 {
+		t.Errorf("self-loop-only vertex 3 moved to label %d", got)
+	}
+}
+
 func TestDisablePruningSameQuality(t *testing.T) {
 	g, truth := gen.Planted(gen.PlantedConfig{N: 400, Communities: 8, DegIn: 14, DegOut: 0.5, Seed: 17})
 	for _, backend := range []Backend{BackendSIMT, BackendDirect} {

@@ -14,6 +14,12 @@
 // (both read each other's old label, then both write), and it is reproduced
 // here by construction, not by accident of goroutine scheduling.
 //
+// A kernel may bound the lanes dispatched per block (BlockLanesKernel): a
+// block then runs lanes [0, n) in every phase, n rounded up to a whole warp,
+// and the lanes beyond n never run — the simulator's analogue of hardware
+// lanes that find no work and sit idle at no cost. Lockstep holds unchanged
+// for the lanes that do run.
+//
 // Blocks are assigned to SMs statically — block b runs on SM b mod NumSMs,
 // mirroring the ID-based SM assignment the paper calls out — and the SMs run
 // concurrently as goroutines, so cross-block interleaving is asynchronous,
@@ -62,6 +68,8 @@ type Device struct {
 	memUsed int64 // atomic
 
 	// Launch statistics, updated atomically; useful in tests and reports.
+	// LanesRun counts lane executions actually dispatched — one per lane
+	// per phase, excluding the lanes a BlockLanesKernel bounds away.
 	BlocksRun  atomic.Int64
 	PhasesRun  atomic.Int64
 	LanesRun   atomic.Int64
@@ -79,7 +87,7 @@ type Profiler interface {
 	// executed by sms SM goroutines, returning an id for the later calls.
 	KernelBegin(kernel string, grid, blockDim, sms int) int
 	// SMSpan reports one SM's busy span: blocks executed, phase barriers
-	// crossed and lanes run between start and end.
+	// crossed and lane executions dispatched between start and end.
 	SMSpan(launch, sm int, start, end time.Time, blocks, phases, lanes int64)
 	// KernelEnd reports the launch's overall wall span
 	// (cudaDeviceSynchronize returning).
@@ -165,11 +173,36 @@ type SharedKernel interface {
 	SharedUint64s() int
 }
 
+// BlockLanesKernel is implemented by kernels whose blocks need fewer lanes
+// than blockDim. Block b then dispatches lanes [0, n) in every phase, where
+// n is min(blockDim, BlockLanes(b)) rounded up to a whole warp (0 when
+// BlockLanes(b) <= 0); lanes at or beyond n never run for that block, so a
+// kernel must not rely on them for any side effect. Strides and GlobalID
+// still use BlockDim. BlockLanes is called once per block per launch.
+type BlockLanesKernel interface {
+	Kernel
+	BlockLanes(block int) int
+}
+
+// dispatchLanes returns the lanes a block runs under a lane bound: the bound
+// rounded up to a whole warp, clamped to [0, blockDim].
+func dispatchLanes(bound, blockDim int) int {
+	if bound <= 0 {
+		return 0
+	}
+	n := (bound + WarpSize - 1) / WarpSize * WarpSize
+	if n > blockDim {
+		return blockDim
+	}
+	return n
+}
+
 // Thread describes one lane's coordinates during a phase call.
 type Thread struct {
 	Block    int // block index within the grid
 	Lane     int // thread index within the block (threadIdx.x)
 	BlockDim int // threads per block
+	Lanes    int // lanes dispatched in this block: BlockDim unless bounded
 	GridDim  int // blocks in the grid
 	SM       int // streaming multiprocessor executing the block
 	Shared   []uint64
@@ -277,6 +310,7 @@ func (d *Device) launch(ctx context.Context, gridDim, blockDim int, k Kernel, st
 	if sk, ok := k.(SharedKernel); ok {
 		sharedWords = sk.SharedUint64s()
 	}
+	bk, bounded := k.(BlockLanesKernel)
 	nSM := d.NumSMs
 	if nSM > gridDim {
 		nSM = gridDim
@@ -339,14 +373,18 @@ func (d *Device) launch(ctx context.Context, gridDim, blockDim int, k Kernel, st
 				for i := range shared {
 					shared[i] = 0
 				}
-				t.Block = b
+				n := blockDim
+				if bounded {
+					n = dispatchLanes(bk.BlockLanes(b), blockDim)
+				}
+				t.Block, t.Lanes = b, n
 				for p := 0; p < phases; p++ {
-					for lane := 0; lane < blockDim; lane++ {
+					for lane := 0; lane < n; lane++ {
 						t.Lane = lane
 						k.Phase(p, &t)
 					}
 					phasesRun++
-					lanes += int64(blockDim)
+					lanes += int64(n)
 				}
 				blocks++
 			}

@@ -36,7 +36,7 @@ var (
 	mPhases = metrics.NewCounter("simt_warp_phases_total",
 		"Lockstep phase barriers crossed by profiled launches.")
 	mLanes = metrics.NewCounter("simt_lanes_total",
-		"Lane executions performed by profiled launches.")
+		"Lane executions dispatched by profiled launches (lanes a kernel bounds away per block are not run and not counted).")
 	mOccupancy = metrics.NewGauge("simt_sm_occupancy",
 		"SM occupancy of the most recent profiled launch: busy/(wall*SMs).")
 )

@@ -317,3 +317,82 @@ func TestNewDeviceDefaults(t *testing.T) {
 		t.Errorf("NumSMs = %d", d.NumSMs)
 	}
 }
+
+// boundedKernel is a PhaseFunc whose blocks bound their lanes.
+type boundedKernel struct {
+	PhaseFunc
+	bounds []int
+}
+
+func (k boundedKernel) BlockLanes(b int) int { return k.bounds[b] }
+
+// TestBlockLanesBound checks that a BlockLanesKernel block runs only its
+// bounded lanes, rounded up to a whole warp, in every phase: a bound of 0
+// runs no lanes but the block still counts, a bound past blockDim clamps to
+// blockDim, phase barriers still hold among the dispatched lanes, and the
+// lane counters (LanesRun, the SMSpan lane count) equal the lanes dispatched.
+func TestBlockLanesBound(t *testing.T) {
+	const blockDim, phases = 128, 3
+	bounds := []int{0, 1, 33, 128, 500}
+	want := []int{0, 32, 64, 128, 128}
+	grid := len(bounds)
+	runs := make([]int32, grid*blockDim*phases)
+	vals := make([]int, grid*blockDim)
+	read := make([]int, grid*blockDim)
+	prof := &captureProf{}
+	d := NewDevice(2)
+	d.Prof = prof
+	d.Launch(grid, blockDim, boundedKernel{bounds: bounds, PhaseFunc: PhaseFunc{Phases: phases, F: func(p int, th *Thread) {
+		if th.Lanes != want[th.Block] {
+			t.Errorf("block %d: Thread.Lanes = %d, want %d", th.Block, th.Lanes, want[th.Block])
+		}
+		atomic.AddInt32(&runs[(th.GlobalID())*phases+p], 1)
+		// Block-wide reversal among the dispatched lanes: every lane must
+		// read its partner's phase-0 write, including from later warps.
+		base, partner := th.Block*blockDim, th.Lanes-1-th.Lane
+		switch p {
+		case 0:
+			vals[base+th.Lane] = th.Lane
+		case 1:
+			read[base+th.Lane] = vals[base+partner]
+		case 2:
+			vals[base+th.Lane] = read[base+th.Lane]
+		}
+	}}})
+
+	var lanes int64
+	for b := 0; b < grid; b++ {
+		for lane := 0; lane < blockDim; lane++ {
+			wantRuns := int32(0)
+			if lane < want[b] {
+				wantRuns = 1
+				if got := vals[b*blockDim+lane]; got != want[b]-1-lane {
+					t.Errorf("block %d lane %d: reversed value %d, want %d (phase barrier broken)", b, lane, got, want[b]-1-lane)
+				}
+			}
+			for p := 0; p < phases; p++ {
+				if got := runs[(b*blockDim+lane)*phases+p]; got != wantRuns {
+					t.Fatalf("block %d lane %d phase %d ran %d times, want %d", b, lane, p, got, wantRuns)
+				}
+			}
+		}
+		lanes += int64(want[b] * phases)
+	}
+	if got := d.BlocksRun.Load(); got != int64(grid) {
+		t.Errorf("BlocksRun = %d, want %d", got, grid)
+	}
+	if got := d.PhasesRun.Load(); got != int64(grid*phases) {
+		t.Errorf("PhasesRun = %d, want %d", got, grid*phases)
+	}
+	if got := d.LanesRun.Load(); got != lanes {
+		t.Errorf("LanesRun = %d, want %d", got, lanes)
+	}
+	var spanBlocks, spanLanes int64
+	for _, s := range prof.spans {
+		spanBlocks += s.blocks
+		spanLanes += s.lanes
+	}
+	if spanBlocks != int64(grid) || spanLanes != lanes {
+		t.Errorf("SMSpan blocks/lanes = %d/%d, want %d/%d", spanBlocks, spanLanes, grid, lanes)
+	}
+}
